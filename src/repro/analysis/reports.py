@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.graph.metrics import format_table
@@ -44,15 +43,13 @@ def _round(value, digits: int = 2):
 
 
 def _snapshot_from_registry(registry) -> Dict:
-    """Rebuild the legacy snapshot dict shape from a MetricsRegistry.
+    """The report's snapshot dict, read from a MetricsRegistry.
 
     Reads the ``serving_*`` instrument family that
-    :meth:`repro.serving.ServingMetrics.bind_registry` maintains, so the
-    report renders identically whether fed a registry or a raw snapshot.
+    :meth:`repro.serving.ServingMetrics.bind_registry` maintains.
     """
     def value(name, default=None):
-        # registry counters are floats; the legacy snapshot used ints for
-        # counts, and the report renders identically either way
+        # registry counters are floats; counts render as ints
         raw = registry.get_value(name, default=default)
         if isinstance(raw, float) and raw.is_integer():
             return int(raw)
@@ -91,27 +88,18 @@ def _snapshot_from_registry(registry) -> Dict:
     }
 
 
-def render_serving_report(snapshot) -> str:
+def render_serving_report(registry) -> str:
     """Render serving metrics as text.
 
-    Accepts a :class:`~repro.observability.MetricsRegistry` (the preferred
-    surface — collectors run first, so derived gauges are fresh) and
-    renders from its ``serving_*`` instruments.  Passing a raw
-    :meth:`repro.serving.ServingMetrics.snapshot` dict still works but is
-    deprecated; pass ``engine.registry`` instead.
+    Takes a :class:`~repro.observability.MetricsRegistry` (usually
+    ``engine.registry``); collectors run first, so derived gauges are
+    fresh, and the report renders from its ``serving_*`` instruments.
 
     Produces three aligned tables: request/throughput/latency summary,
     cache statistics, and the batch-size histogram.
     """
-    if hasattr(snapshot, "render_prometheus"):  # a MetricsRegistry
-        snapshot.collect()
-        snapshot = _snapshot_from_registry(snapshot)
-    else:
-        warnings.warn(
-            "passing a ServingMetrics.snapshot() dict to "
-            "render_serving_report is deprecated; pass the engine's "
-            "MetricsRegistry (engine.registry) instead",
-            DeprecationWarning, stacklevel=2)
+    registry.collect()
+    snapshot = _snapshot_from_registry(registry)
     latency = snapshot.get("latency_ms", {})
     cache = snapshot.get("cache", {})
     summary_row = {

@@ -99,8 +99,9 @@ class _ClusterCodegen:
                             f"  # recv {value!r} from cluster {src_cluster}")
                     self.received.add(value)
 
-                input_exprs = [self._value_expr(v) for v in node.present_inputs]
-                output_vars = [self.namer.name_for(out) for out in node.outputs if out]
+                input_exprs = [self._value_expr(v) if v else None for v in node.inputs]
+                output_vars = [self.namer.name_for(out) if out else None
+                               for out in node.outputs]
                 em.comment(f"{node.op_type} node {node.name!r}")
                 for stmt in lower_node(node, input_exprs, output_vars):
                     em.line(stmt)

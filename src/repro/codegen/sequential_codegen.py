@@ -64,8 +64,9 @@ def generate_sequential_source(model: Model, function_name: str = "run") -> str:
             "    ``Model.graph.initializers``).\n"
         )
         for node in topological_sort_nodes(graph):
-            input_exprs = [_value_expr(name, graph, namer) for name in node.present_inputs]
-            output_vars = [namer.name_for(out) for out in node.outputs if out]
+            input_exprs = [_value_expr(name, graph, namer) if name else None
+                           for name in node.inputs]
+            output_vars = [namer.name_for(out) if out else None for out in node.outputs]
             em.comment(f"{node.op_type} node {node.name!r}")
             for stmt in lower_node(node, input_exprs, output_vars):
                 em.line(stmt)

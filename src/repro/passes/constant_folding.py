@@ -2,11 +2,11 @@
 
 A node is foldable when every one of its (present) inputs is either a graph
 initializer or the output of an already-folded node, and its operator has a
-runtime handler.  The node is executed once with the numpy runtime and its
-outputs become initializers; dead-code elimination then removes the node
-itself (folding alone leaves it in place only if something still consumes
-the original outputs — which cannot happen because we rewrite them — so the
-node simply becomes dead).
+spec in the operator table (:mod:`repro.runtime.opspec`).  The node is
+executed once through that spec and its outputs become initializers;
+dead-code elimination then removes the node itself (folding alone leaves it
+in place only if something still consumes the original outputs — which
+cannot happen because we rewrite them — so the node simply becomes dead).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.ir.model import Graph
 from repro.passes.pass_manager import GraphPass
-from repro.runtime import executor as _executor
+from repro.runtime.opspec import SPECS, run_node
 
 #: Ops that must never be folded even if their inputs are constant, because
 #: their output size could explode (materializing huge constants) or their
@@ -32,7 +32,7 @@ _MAX_FOLDED_ELEMENTS = 1 << 22
 def _is_foldable(node, graph: Graph, known_constants: Set[str]) -> bool:
     if node.op_type in _FOLD_BLOCKLIST:
         return False
-    if node.op_type not in _executor.supported_ops() and node.op_type != "Constant":
+    if node.op_type not in SPECS:
         return False
     inputs = node.present_inputs
     if not inputs and node.op_type != "Constant":
@@ -58,18 +58,17 @@ def fold_constants(graph: Graph, max_folded_elements: int = _MAX_FOLDED_ELEMENTS
     for node in topological_sort_nodes(graph):
         if not _is_foldable(node, graph, known):
             continue
-        handler = _executor._HANDLERS.get(node.op_type)  # noqa: SLF001 - internal reuse
-        if handler is None:
-            continue
         try:
             args = [folded_values[name] for name in node.present_inputs]
-            results = handler(node, args)
+            results = run_node(node, args)
         except Exception:  # noqa: BLE001 - folding is best-effort
             continue
         out_names = [o for o in node.outputs if o]
         if any(np.asarray(r).size > max_folded_elements for r in results):
             continue
-        for name, value in zip(out_names, results):
+        for name, value in zip(node.outputs, results):
+            if not name:
+                continue
             value = np.asarray(value)
             folded_values[name] = value
             known.add(name)

@@ -1,8 +1,8 @@
 """Unified execution surface: compile once, bind buffers, run many.
 
-Execution used to be scattered across ``RamielResult.run_planned``,
-``ExecutionPlan.run``, ``GraphExecutor``, ``profile_model(engine=...)`` and
-the serving engine's executor strings.  :func:`create_session` replaces that
+Execution used to be scattered across ``ExecutionPlan.run``,
+``GraphExecutor``, ``profile_model(engine=...)`` and the serving engine's
+executor strings.  :func:`create_session` replaces that
 zoo with one front door, modeled on ONNX Runtime's ``InferenceSession`` +
 ``IOBinding`` pattern:
 

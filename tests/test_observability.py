@@ -530,13 +530,6 @@ class TestServingReportMigration:
         assert "-- artifact cache --" in report
         assert "-- batch-size histogram --" in report
 
-    def test_legacy_dict_path_warns_but_renders_identically(self):
-        registry, metrics = self._populated()
-        expected = render_serving_report(registry)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = render_serving_report(metrics.snapshot())
-        assert legacy == expected
-
 
 # ---------------------------------------------------------------------------
 # Concurrent emit vs export (the ring-buffer drop-accounting fix)
