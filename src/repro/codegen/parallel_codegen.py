@@ -206,10 +206,10 @@ def generate_parallel_source(model: Model, clustering: Clustering) -> str:
         f"cluster_{i}" for i in range(clustering.num_clusters)) + "]")
     em.line(f"CLUSTER_OUTPUTS = {cluster_outputs!r}")
     em.blank(2)
-    with em.block("def run_parallel(inputs, weights, backend='thread', num_workers=None):"):
+    with em.block("def run_parallel(inputs, weights, backend='thread'):"):
         em.docstring(
             "Convenience driver: execute all clusters with the repro runtime.\n\n"
-            "``backend`` is 'thread', 'process' or 'serial'."
+            "``backend`` is 'thread' or 'process' (one worker per cluster)."
         )
         em.line("from repro.runtime.process_runtime import execute_generated_module")
         em.line("import sys")

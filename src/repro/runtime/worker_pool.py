@@ -1,12 +1,13 @@
 """Warm, reusable executor pools for Ramiel-generated parallel modules.
 
-:mod:`repro.runtime.process_runtime` spawns one thread or process per
-cluster *per call*, which is the right shape for one-shot experiments but
-wasteful under serving traffic: worker startup (and, for processes, weight
-pickling) is paid on every request.  :class:`WarmExecutorPool` keeps one
-long-lived worker per cluster and feeds it jobs through per-worker queues,
-so repeated executions of the same compiled module only pay for the actual
-operator work plus queue hand-off.
+:class:`WarmExecutorPool` is the package's one cluster-worker protocol.  It
+keeps one long-lived worker per cluster and feeds it jobs through
+per-worker queues, so repeated executions of the same compiled module only
+pay for the actual operator work plus queue hand-off — worker startup
+(and, for processes, the fork) is paid once.  Both backends run the same
+job loop (:func:`_worker_loop`).  One-shot execution
+(:func:`repro.runtime.process_runtime.execute_generated_module`) is a pool
+that is opened, run once and closed.
 
 Two backends are supported:
 
@@ -125,7 +126,46 @@ def _drain_worker_tracer(tracer: Tracer, ctx: TraceContext,
     }
 
 
-def _thread_worker(fn, weights, jobs, done, index) -> None:
+def _reap_processes(processes, join_timeout: float = 1.0) -> None:
+    """Terminate, join and close every process; never raises.
+
+    The one process reaper: pool teardown, restarts and respawns all end
+    here, so a timed-out or failed run never leaks a live, unjoined or
+    unclosed child (it would hold inherited memory and channel queues
+    until interpreter exit).
+    """
+    for p in processes:
+        try:
+            if p.is_alive():
+                p.terminate()
+        except Exception:  # noqa: BLE001 - already reaped
+            pass
+    for p in processes:
+        try:
+            p.join(timeout=join_timeout)
+            if p.is_alive():  # terminate lost the race: escalate
+                p.kill()
+                p.join(timeout=join_timeout)
+        except Exception:  # noqa: BLE001 - already reaped
+            pass
+    for p in processes:
+        try:
+            p.close()
+        except Exception:  # noqa: BLE001 - still-running straggler
+            pass
+
+
+def _worker_loop(fn, weights, inherited_channels, jobs, done, index,
+                 telemetry: Optional[ChannelTelemetry]) -> None:
+    """One cluster worker's job loop, for both backends.
+
+    A job is ``(ticket, inputs, channels, ctx, fault)``.  Thread runs ship
+    fresh channels; process runs ship ``None`` and the worker uses the
+    channels it inherited at fork.  Only process workers get
+    ``telemetry``: their fork's counters are copy-on-write private, so
+    they ship a per-job channel delta home with the result (thread
+    workers share the coordinator's telemetry object instead).
+    """
     tracer: Optional[Tracer] = None
     while True:
         job = jobs.get()
@@ -137,10 +177,13 @@ def _thread_worker(fn, weights, jobs, done, index) -> None:
             continue
         received_ns = time.perf_counter_ns()
         _, inputs, channels, ctx, fault = job
+        is_process = channels is None
+        if is_process:
+            channels = inherited_channels
         start_ns = time.perf_counter_ns()
         if fault is not None:
             try:
-                action = apply_worker_fault(fault, is_process=False)
+                action = apply_worker_fault(fault, is_process=is_process)
             except BaseException as exc:  # noqa: BLE001 - injected failure
                 done.put((ticket, index, {}, remote_error_text(exc),
                           time.perf_counter_ns() - start_ns, None))
@@ -148,57 +191,6 @@ def _thread_worker(fn, weights, jobs, done, index) -> None:
             if action == "silent":
                 if fault[0] == "crash":
                     return  # the thread vanishes without replying
-                continue  # hang: stay silent for this job
-            if action == "corrupt":
-                done.put(("__corrupt__", index))
-                continue
-        try:
-            if ctx is None:
-                outputs = fn(inputs, weights, channels)
-                done.put((ticket, index, outputs, None,
-                          time.perf_counter_ns() - start_ns, None))
-                continue
-            if tracer is None:
-                tracer = Tracer(capacity=_WORKER_TRACER_CAPACITY)
-            queue_wait_ns = ctx.queue_wait_ns(received_ns)
-            args = ctx.span_args({
-                "cluster": str(index),
-                "queue_wait_us": str(queue_wait_ns // 1000)})
-            with tracer.span("worker.execute", cat="worker", args=args):
-                outputs = fn(inputs, weights, channels)
-            exec_ns = time.perf_counter_ns() - start_ns
-            # Thread workers share the coordinator's channel telemetry
-            # object, so no per-job channel delta is shipped (it would
-            # double count against concurrent workers).
-            payload = _drain_worker_tracer(tracer, ctx, queue_wait_ns, None)
-            done.put((ticket, index, outputs, None, exec_ns, payload))
-        except BaseException as exc:  # noqa: BLE001 - propagate to the caller
-            done.put((ticket, index, {}, remote_error_text(exc),
-                      time.perf_counter_ns() - start_ns, None))
-
-
-def _process_worker(fn, weights, channels, jobs, done, index,
-                    telemetry: Optional[ChannelTelemetry]) -> None:
-    tracer: Optional[Tracer] = None
-    while True:
-        job = jobs.get()
-        if job is None:
-            return
-        ticket = job[0]
-        if ticket == _SYNC or ticket == _PING:
-            done.put((ticket, index, time.perf_counter_ns(), None, 0, None))
-            continue
-        received_ns = time.perf_counter_ns()
-        _, inputs, ctx, fault = job
-        start_ns = time.perf_counter_ns()
-        if fault is not None:
-            try:
-                action = apply_worker_fault(fault, is_process=True)
-            except BaseException as exc:  # noqa: BLE001 - injected failure
-                done.put((ticket, index, {}, remote_error_text(exc),
-                          time.perf_counter_ns() - start_ns, None))
-                continue
-            if action == "silent":
                 continue  # hang: stay silent for this job
             if action == "corrupt":
                 done.put(("__corrupt__", index))
@@ -220,8 +212,6 @@ def _process_worker(fn, weights, channels, jobs, done, index,
             with tracer.span("worker.execute", cat="worker", args=args):
                 outputs = fn(inputs, weights, channels)
             exec_ns = time.perf_counter_ns() - start_ns
-            # This fork's telemetry counters are copy-on-write private:
-            # ship the per-job delta home with the result.
             channel_delta = None
             if telemetry is not None:
                 channel_delta = ChannelTelemetry.delta(
@@ -364,18 +354,15 @@ class WarmExecutorPool:
         """
         fn = self.module.CLUSTER_FUNCTIONS[index]
         if self.backend == "thread":
-            jobs = queue.Queue()
-            worker = threading.Thread(
-                target=_thread_worker,
-                args=(fn, self._weights, jobs, self._done, index),
-                daemon=True, name=f"warm-cluster-{index}")
+            jobs, spawn, telemetry = queue.Queue(), threading.Thread, None
         else:
-            jobs = self._mp_ctx.Queue()
-            worker = self._mp_ctx.Process(
-                target=_process_worker,
-                args=(fn, self._weights, self._channels, jobs, self._done,
-                      index, self._telemetry),
-                daemon=True, name=f"warm-cluster-{index}")
+            jobs, spawn = self._mp_ctx.Queue(), self._mp_ctx.Process
+            telemetry = self._telemetry
+        worker = spawn(
+            target=_worker_loop,
+            args=(fn, self._weights, self._channels, jobs, self._done,
+                  index, telemetry),
+            daemon=True, name=f"warm-cluster-{index}")
         return jobs, worker
 
     def _sync_clocks(self, timeout: float = 60.0, rounds: int = 3,
@@ -460,10 +447,11 @@ class WarmExecutorPool:
                 jobs.put(None)
             except Exception:  # noqa: BLE001 - queue already torn down
                 pass
+        deadline = time.monotonic() + join_timeout
         for worker in self._workers:
-            worker.join(timeout=join_timeout)
-            if self.backend == "process" and worker.is_alive():
-                worker.terminate()
+            worker.join(timeout=max(deadline - time.monotonic(), 0.0))
+        if self.backend == "process":
+            _reap_processes(self._workers, join_timeout)
 
     # ------------------------------------------------------------------
     # Supervision primitives (consumed by repro.resilience.PoolSupervisor)
@@ -475,7 +463,10 @@ class WarmExecutorPool:
     def worker_alive(self, index: int) -> bool:
         """Whether worker ``index``'s thread/process is currently alive."""
         worker = self._workers[index]
-        return worker is not None and worker.is_alive()
+        try:
+            return worker is not None and worker.is_alive()
+        except ValueError:  # a reaped (closed) process
+            return False
 
     def heartbeat_age(self, index: int) -> float:
         """Seconds since worker ``index`` last produced any message."""
@@ -596,14 +587,7 @@ class WarmExecutorPool:
         except Exception:  # noqa: BLE001 - queue already torn down
             pass
         if self.backend == "process":
-            if old is not None and old.is_alive():
-                old.terminate()
-            if old is not None:
-                old.join(join_timeout)
-                try:
-                    old.close()
-                except Exception:  # noqa: BLE001 - still-running straggler
-                    pass
+            _reap_processes([old], join_timeout)
             # A mid-run death can strand items in the fork-inherited
             # channels; drain them so the next run starts from empty.
             self._drain_channels()
@@ -636,28 +620,7 @@ class WarmExecutorPool:
                 jobs.put(None)
             except Exception:  # noqa: BLE001 - queue already torn down
                 pass
-        for worker in self._workers:
-            if worker is None:
-                continue
-            try:
-                if worker.is_alive():
-                    worker.terminate()
-            except Exception:  # noqa: BLE001 - already reaped
-                pass
-        for worker in self._workers:
-            if worker is None:
-                continue
-            try:
-                worker.join(join_timeout)
-                if worker.is_alive():
-                    worker.kill()
-                    worker.join(join_timeout)
-            except Exception:  # noqa: BLE001 - already reaped
-                pass
-            try:
-                worker.close()
-            except Exception:  # noqa: BLE001 - still-running straggler
-                pass
+        _reap_processes(self._workers, join_timeout)
         channels = make_process_channels(self.module.CHANNEL_NAMES,
                                          ctx=self._mp_ctx)
         if self._telemetry is not None:
@@ -952,18 +915,15 @@ class WarmExecutorPool:
             self._inflight = (ticket, time.monotonic())
             run_start_ns = time.perf_counter_ns()
             try:
+                channels = None  # process workers use their inherited ones
                 if self.backend == "thread":
                     channels = make_thread_channels(self.module.CHANNEL_NAMES)
                     if ctx is not None and self._telemetry is not None:
                         channels = instrument_channels(channels,
                                                        self._telemetry)
-                    for i, jobs in enumerate(self._job_queues):
-                        jobs.put((ticket, feed, channels, ctx,
-                                  faults[i] if faults is not None else None))
-                else:
-                    for i, jobs in enumerate(self._job_queues):
-                        jobs.put((ticket, feed, ctx,
-                                  faults[i] if faults is not None else None))
+                for i, jobs in enumerate(self._job_queues):
+                    jobs.put((ticket, feed, channels, ctx,
+                              faults[i] if faults is not None else None))
                 dispatch_ns = time.perf_counter_ns() - run_start_ns
                 self._dispatch_ns += dispatch_ns
                 outputs = self._collect(ticket, timeout)

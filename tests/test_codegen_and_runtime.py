@@ -20,6 +20,7 @@ from repro.codegen.parallel_codegen import channel_name, collect_channels
 from repro.codegen.ssa import sanitize_identifier
 from repro.graph import model_to_dataflow
 from repro.ir.node import OpNode
+from repro.pipeline import PipelineConfig, ramiel_compile
 from repro.runtime import execute_model
 from repro.runtime.process_runtime import (
     ParallelExecutionError,
@@ -179,6 +180,22 @@ class TestParallelCodegen:
             execute_generated_module(module, {"x": rng.standard_normal((1, 3, 16, 16))
                                               .astype(np.float32)}, {}, backend="thread",
                                      timeout=30)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_generated_driver_matches_result_bitwise(self, diamond_model, rng,
+                                                     backend):
+        result = ramiel_compile(diamond_model, config=PipelineConfig(
+            generate_code=True, build_plan=False))
+        feed = {"x": rng.standard_normal((1, 3, 16, 16)).astype(np.float32)}
+        weights = result.optimized_model.graph.initializers
+        generated = result.parallel_module.module.run_parallel(
+            feed, weights, backend=backend)
+        expected = result.run_parallel(feed, backend=backend)
+        assert list(generated) == list(expected)
+        for name, want in expected.items():
+            got = generated[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
     def test_time_callable(self):
         median, result = time_callable(lambda: 42, repeats=3, warmup=0)

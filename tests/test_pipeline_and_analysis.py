@@ -173,3 +173,21 @@ class TestCLI:
                          "--backend", "thread", "--repeats", "1"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
+
+    def test_run_process_backend_is_bitwise(self, capsys):
+        assert cli_main(["run", "squeezenet", "--variant", "small",
+                         "--backend", "process", "--repeats", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "max_abs_err      0.0000" in out
+
+    def test_run_fails_when_parallel_output_differs(self, capsys, monkeypatch):
+        import repro.analysis.speedup as speedup
+
+        def drifted(model, inputs, backend="thread", repeats=3, config=None):
+            return {"seq_time_s": 1.0, "par_time_s": 1.0, "speedup": 1.0,
+                    "num_clusters": 2, "max_abs_err": 1e-7}
+
+        monkeypatch.setattr(speedup, "measured_speedup", drifted)
+        assert cli_main(["run", "squeezenet", "--variant", "small",
+                         "--repeats", "1"]) == 1
+        assert "max_abs_err" in capsys.readouterr().out

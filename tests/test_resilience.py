@@ -15,13 +15,14 @@ engine, asserting the properties the layer promises:
 * every recovery decision is visible in ``stats()`` and the shared
   ``MetricsRegistry``.
 
-Also the regression tests for the satellites: the one-shot process
-driver's child-leak fix and cross-process traceback preservation.
+Also the regression tests for one-shot execution: no leaked worker
+processes or threads, and cross-process traceback preservation.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.resilience import (
 )
 from repro.runtime.process_runtime import (
     ParallelExecutionError,
-    _run_processes,
+    execute_generated_module,
     remote_error_text,
 )
 from repro.runtime.session import create_session
@@ -672,7 +673,7 @@ class TestServingResilience:
 
 
 # ---------------------------------------------------------------------------
-# One-shot process driver: leak fix + remote tracebacks (satellites)
+# One-shot execution: leak fix + remote tracebacks
 # ---------------------------------------------------------------------------
 def _hang_cluster(inputs, weights, channels):  # pragma: no cover - child code
     time.sleep(60.0)
@@ -698,14 +699,15 @@ class _FakeModule:
 
 def _cluster_children():
     return [p for p in multiprocessing.active_children()
-            if p.name.startswith("cluster-")]
+            if p.name.startswith(("cluster-", "warm-cluster-"))]
 
 
 class TestProcessDriverHardening:
     def test_timeout_reaps_child_processes(self):
         module = _FakeModule(_hang_cluster, _ok_cluster)
         with pytest.raises(ParallelExecutionError, match="timed out"):
-            _run_processes(module, {}, {}, timeout=1.0)
+            execute_generated_module(module, {}, {}, backend="process",
+                                     timeout=1.0)
         # The fix: a timed-out run must not leak live children.  (Before,
         # the workers kept running until interpreter exit.)
         _wait_until(lambda: not _cluster_children(), timeout_s=5.0,
@@ -714,13 +716,29 @@ class TestProcessDriverHardening:
     def test_worker_failure_reaps_and_ships_remote_traceback(self):
         module = _FakeModule(_boom_cluster, _ok_cluster)
         with pytest.raises(ParallelExecutionError) as excinfo:
-            _run_processes(module, {}, {}, timeout=30.0)
+            execute_generated_module(module, {}, {}, backend="process",
+                                     timeout=30.0)
         text = str(excinfo.value)
         assert "deliberate child failure" in text
         assert "Remote traceback" in text
         assert "_boom_cluster" in text  # the worker-side frame is named
         _wait_until(lambda: not _cluster_children(), timeout_s=5.0,
                     what="child processes reaped")
+
+    @pytest.mark.parametrize("fns", [(_ok_cluster,), (_boom_cluster, _ok_cluster)],
+                             ids=["ok", "failed"])
+    def test_one_shot_thread_call_leaves_no_worker_thread(self, fns):
+        before = set(threading.enumerate())
+        failed = False
+        try:
+            execute_generated_module(_FakeModule(*fns), {}, {},
+                                     backend="thread", timeout=30.0)
+        except ParallelExecutionError:
+            failed = True
+        assert failed == (_boom_cluster in fns)
+        leaked = [t for t in threading.enumerate()
+                  if t not in before and t.name.startswith("warm-cluster-")]
+        assert leaked == []
 
     def test_remote_error_text_includes_frames(self):
         try:

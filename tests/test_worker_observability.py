@@ -383,9 +383,10 @@ class TestExecuteGeneratedModuleTracing:
         for buffer in collector:
             assert any(name == "worker.execute"
                        for name, *_ in buffer.events)
-            assert buffer.clock_offset_ns == 0  # fork shares the clock
+            # measured by the pool's handshake: noise, far below a second
+            assert abs(buffer.clock_offset_ns) < 1_000_000_000
         coordinator = [e.name for e in tracer.events()]
-        assert "runtime.parallel_run" in coordinator
+        assert "pool.run" in coordinator
         payload = merge_traces(tracer, collector)
         json.dumps(payload)
 
